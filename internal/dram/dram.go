@@ -48,20 +48,23 @@ type Scheduled struct {
 	Resp Response
 }
 
-type eventKind uint8
+type eventKind int16
 
 const (
 	evL2Hit eventKind = iota
 	evDRAMFill
 )
 
+// event is one scheduled L2 hit or DRAM fill. It is kept to 32 bytes
+// because the heap moves events on every sift: an L2 hit's request lives in
+// the MemSystem's hits slab and the event carries only its slot.
 type event struct {
 	cycle     int64
 	seq       int64 // tie-break for deterministic ordering
-	kind      eventKind
-	partition int
 	line      arch.LineAddr
-	req       arch.MemReq // for evL2Hit
+	slot      int32 // evL2Hit: index into MemSystem.hits
+	partition int16
+	kind      eventKind
 }
 
 // eventHeap is a hand-rolled binary min-heap ordered by (cycle, seq).
@@ -156,7 +159,11 @@ type MemSystem struct {
 	st        *stats.Stats
 	returnLeg int64
 	responses []Response // scratch, reused across Tick calls
-	tr        *trace.Tracer
+	// hits holds the requests of scheduled L2-hit events, indexed by
+	// event.slot; hitFree lists the slots whose events have popped.
+	hits    []arch.MemReq
+	hitFree []int32
+	tr      *trace.Tracer
 	// hitEvents counts evL2Hit entries currently in the heap, so
 	// NextResponseCycle knows whether the head-cycle bound must be padded
 	// by the DRAM return leg without scanning the heap.
@@ -242,7 +249,7 @@ func (m *MemSystem) access(p int, req arch.MemReq, cycle int64) {
 	switch out.Result {
 	case arch.ResultHit:
 		m.st.GPUL2Hits++
-		m.push(event{cycle: cycle + int64(m.cfg.L2Latency), kind: evL2Hit, partition: p, line: req.Line, req: req})
+		m.push(event{cycle: cycle + int64(m.cfg.L2Latency), kind: evL2Hit, partition: int16(p), line: req.Line, slot: m.holdHit(req)})
 		if m.tr != nil {
 			m.tr.Emit(trace.Event{Kind: trace.KindL2Enter, Unit: int32(p),
 				Warp: int32(req.Warp), PC: uint32(req.PC), Line: uint64(req.Line),
@@ -268,7 +275,7 @@ func (m *MemSystem) access(p int, req arch.MemReq, cycle int64) {
 		start := max64(cycle, pt.nextFree)
 		pt.nextFree = start + int64(m.cfg.DRAMServiceInterval)
 		m.st.DRAMQueueCycles += start - cycle
-		m.push(event{cycle: start + int64(m.cfg.DRAMLatency), kind: evDRAMFill, partition: p, line: req.Line})
+		m.push(event{cycle: start + int64(m.cfg.DRAMLatency), kind: evDRAMFill, partition: int16(p), line: req.Line})
 		if m.trackFills {
 			m.smFills[req.SM] = pushInt64(m.smFills[req.SM], start+int64(m.cfg.DRAMLatency))
 		}
@@ -300,6 +307,19 @@ func (m *MemSystem) push(e event) {
 		m.fillLines[e.line] = fillRef{cycle: e.cycle, seq: e.seq}
 	}
 	m.events.push(e)
+}
+
+// holdHit stores an L2 hit's request in the slab until its event pops and
+// returns the slot.
+func (m *MemSystem) holdHit(req arch.MemReq) int32 {
+	if n := len(m.hitFree); n > 0 {
+		slot := m.hitFree[n-1]
+		m.hitFree = m.hitFree[:n-1]
+		m.hits[slot] = req
+		return slot
+	}
+	m.hits = append(m.hits, req)
+	return int32(len(m.hits) - 1)
 }
 
 // pushInt64 inserts v into a binary min-heap of int64s.
@@ -482,7 +502,7 @@ func (m *MemSystem) PeekWindowResponses(upTo int64) []Scheduled {
 		case evL2Hit:
 			m.peekSched = append(m.peekSched, Scheduled{
 				EnqueueCycle: e.cycle, Seq: e.seq,
-				Resp: Response{Req: e.req, ReadyCycle: e.cycle},
+				Resp: Response{Req: m.hits[e.slot], ReadyCycle: e.cycle},
 			})
 		case evDRAMFill:
 			ready := e.cycle + m.returnLeg
@@ -520,15 +540,15 @@ func (m *MemSystem) Tick(cycle int64) []Response {
 	}
 	for !m.events.empty() && m.events.peekCycle() <= cycle {
 		e := m.events.pop()
-		if e.kind == evL2Hit {
-			m.hitEvents--
-		}
 		switch e.kind {
 		case evL2Hit:
-			m.responses = append(m.responses, Response{Req: e.req, ReadyCycle: e.cycle})
+			m.hitEvents--
+			req := m.hits[e.slot]
+			m.hitFree = append(m.hitFree, e.slot)
+			m.responses = append(m.responses, Response{Req: req, ReadyCycle: e.cycle})
 			if m.tr != nil {
 				m.tr.Emit(trace.Event{Kind: trace.KindL2Leave, Unit: int32(e.partition),
-					Warp: int32(e.req.Warp), PC: uint32(e.req.PC), Line: uint64(e.line)})
+					Warp: int32(req.Warp), PC: uint32(req.PC), Line: uint64(e.line)})
 			}
 		case evDRAMFill:
 			if m.trackFills {

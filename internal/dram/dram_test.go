@@ -2,6 +2,7 @@ package dram
 
 import (
 	"testing"
+	"unsafe"
 
 	"apres/internal/arch"
 	"apres/internal/config"
@@ -155,5 +156,49 @@ func TestDrained(t *testing.T) {
 	collectUntil(t, m, 0, 5000)
 	if !m.Drained() {
 		t.Fatal("system should drain after responses complete")
+	}
+}
+
+// An L2 hit's request waits in the hits slab while its event is queued: each
+// response must carry its own request back in (cycle, seq) order, popped
+// slots must be reused instead of the slab growing per hit, and the event
+// the heap sifts must stay 32 bytes.
+func TestL2HitSlabRoundTripAndReuse(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("event is %d bytes, want 32", got)
+	}
+	cfg := testConfig()
+	var st stats.Stats
+	m := New(cfg, &st)
+	const lines = 8
+	for l := 0; l < lines; l++ {
+		m.Request(arch.MemReq{Line: arch.LineAddr(l), Kind: arch.AccessLoad}, 0)
+	}
+	collectUntil(t, m, 0, 5000)
+	for round := 0; round < 3; round++ {
+		base := int64(10000 * (round + 1))
+		var want []arch.MemReq
+		for l := 0; l < lines; l++ {
+			req := arch.MemReq{Line: arch.LineAddr(l), Kind: arch.AccessLoad, Warp: arch.WarpID(l),
+				PC: arch.PC(100*round + l), SM: l % 3, IssueCycle: base + int64(l/2)}
+			want = append(want, req)
+			m.Request(req, req.IssueCycle)
+		}
+		rs := collectUntil(t, m, base, base+5000)
+		if len(rs) != lines {
+			t.Fatalf("round %d: %d responses, want %d", round, len(rs), lines)
+		}
+		for i, r := range rs {
+			if r.Req != want[i] {
+				t.Fatalf("round %d response %d: req %+v, want %+v", round, i, r.Req, want[i])
+			}
+			if r.ReadyCycle != want[i].IssueCycle+int64(cfg.L2Latency) {
+				t.Fatalf("round %d response %d: ready %d, want %d", round, i, r.ReadyCycle,
+					want[i].IssueCycle+int64(cfg.L2Latency))
+			}
+		}
+	}
+	if len(m.hits) != lines {
+		t.Fatalf("hits slab holds %d slots after 3 rounds of %d hits, want %d", len(m.hits), lines, lines)
 	}
 }

@@ -115,8 +115,12 @@ type Cache struct {
 	sets    []line // numSets*ways, flattened
 
 	mshrMax int
-	mshr    map[arch.LineAddr]*MSHREntry
-	// retired holds entries removed from mshr by Fill whose caller may
+	// live holds the in-flight MSHR entries densely; mshrIdx maps each
+	// entry's line to its slot in live. Fill swap-removes, so live stays
+	// dense and the index never grows past mshrMax entries.
+	live    []*MSHREntry
+	mshrIdx lineTable[int32]
+	// retired holds entries removed from live by Fill whose caller may
 	// still be reading them; the next Access or Fill moves them to free
 	// for reuse. Entries are never retained across cache calls (both the
 	// SM and the memory system consume Waiters synchronously), so this
@@ -125,12 +129,13 @@ type Cache struct {
 	retired []*MSHREntry
 	free    []*MSHREntry
 
-	// everSeen supports cold vs capacity+conflict classification.
-	everSeen map[arch.LineAddr]struct{}
+	// everSeen supports cold vs capacity+conflict classification: it holds
+	// every line that ever allocated an MSHR entry, exactly.
+	everSeen lineSet
 	// evictedUnusedPF holds prefetched lines evicted before use; a later
 	// demand for such a line proves the prefetch correct (early
 	// eviction), otherwise the prefetch was useless.
-	evictedUnusedPF map[arch.LineAddr]struct{}
+	evictedUnusedPF lineSet
 
 	// lastDemandWasHit supports the hit-after-hit breakdown.
 	lastDemandWasHit bool
@@ -178,9 +183,10 @@ func NewCache(name string, sizeBytes, ways, mshrs int) *Cache {
 		ways:            ways,
 		sets:            make([]line, lines),
 		mshrMax:         mshrs,
-		mshr:            make(map[arch.LineAddr]*MSHREntry),
-		everSeen:        make(map[arch.LineAddr]struct{}),
-		evictedUnusedPF: make(map[arch.LineAddr]struct{}),
+		live:            make([]*MSHREntry, 0, mshrs),
+		mshrIdx:         newLineTable[int32](mshrs),
+		everSeen:        newLineTable[struct{}](0),
+		evictedUnusedPF: newLineTable[struct{}](0),
 	}
 }
 
@@ -194,7 +200,7 @@ func (c *Cache) Sets() int { return c.numSets }
 func (c *Cache) Ways() int { return c.ways }
 
 // MSHRCount returns the number of in-flight MSHR entries.
-func (c *Cache) MSHRCount() int { return len(c.mshr) }
+func (c *Cache) MSHRCount() int { return len(c.live) }
 
 // MSHRMax returns the MSHR file capacity.
 func (c *Cache) MSHRMax() int { return c.mshrMax }
@@ -219,9 +225,14 @@ func (c *Cache) lookup(l arch.LineAddr) *line {
 func (c *Cache) Contains(l arch.LineAddr) bool { return c.lookup(l) != nil }
 
 // InFlight reports whether line l has an outstanding MSHR entry.
-func (c *Cache) InFlight(l arch.LineAddr) bool {
-	_, ok := c.mshr[l]
-	return ok
+func (c *Cache) InFlight(l arch.LineAddr) bool { return c.mshrIdx.has(l) }
+
+// entry returns the in-flight MSHR entry for line l, or nil.
+func (c *Cache) entry(l arch.LineAddr) *MSHREntry {
+	if slot, ok := c.mshrIdx.get(l); ok {
+		return c.live[slot]
+	}
+	return nil
 }
 
 // MSHRWaiters returns the waiter list of the outstanding entry for line l,
@@ -229,7 +240,7 @@ func (c *Cache) InFlight(l arch.LineAddr) bool {
 // epoch lookahead; the slice aliases the live entry and must not be held
 // across an Access or Fill.
 func (c *Cache) MSHRWaiters(l arch.LineAddr) []arch.MemReq {
-	if e, ok := c.mshr[l]; ok {
+	if e := c.entry(l); e != nil {
 		return e.Waiters
 	}
 	return nil
@@ -265,7 +276,7 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		}
 		return out
 	}
-	if e, ok := c.mshr[req.Line]; ok {
+	if e := c.entry(req.Line); e != nil {
 		out := Outcome{Result: arch.ResultMergedMSHR, Entry: e}
 		if isDemand {
 			e.Waiters = append(e.Waiters, req)
@@ -273,7 +284,9 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 				e.DemandMerged = true
 				out.MergedIntoPrefetch = true
 			}
-			out.Class = c.classify(req.Line)
+			// Every in-flight line entered everSeen when the access that
+			// allocated its entry missed, so a merge is never a first touch.
+			out.Class = arch.MissCapacityConflict
 			c.noteDemand(false)
 			if c.tr != nil {
 				var arg int64
@@ -286,7 +299,7 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		}
 		return out
 	}
-	if len(c.mshr) >= c.mshrMax {
+	if len(c.live) >= c.mshrMax {
 		return Outcome{Result: arch.ResultStall}
 	}
 	e := c.newEntry()
@@ -299,17 +312,20 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		Waiters:    e.Waiters[:0],
 	}
 	out := Outcome{Result: arch.ResultMiss, Entry: e}
+	// Section III.A's cold vs capacity+conflict split: a miss on a line
+	// that was resident before is capacity/conflict.
+	cold := c.everSeen.add(req.Line)
 	if isDemand {
 		e.Waiters = append(e.Waiters, req)
-		out.Class = c.classify(req.Line)
-		if _, evicted := c.evictedUnusedPF[req.Line]; evicted {
-			out.ProvesEarlyEviction = true
-			delete(c.evictedUnusedPF, req.Line)
+		out.Class = arch.MissCapacityConflict
+		if cold {
+			out.Class = arch.MissCold
 		}
+		out.ProvesEarlyEviction = c.evictedUnusedPF.del(req.Line)
 		c.noteDemand(false)
 	}
-	c.mshr[req.Line] = e
-	c.everSeen[req.Line] = struct{}{}
+	c.mshrIdx.put(req.Line, int32(len(c.live)))
+	c.live = append(c.live, e)
 	if c.tr != nil {
 		if isDemand {
 			var class int64
@@ -325,17 +341,9 @@ func (c *Cache) Access(req arch.MemReq, cycle int64) Outcome {
 		}
 		c.tr.Emit(trace.Event{Kind: trace.KindMSHRAlloc, Unit: c.trUnit,
 			Warp: int32(req.Warp), PC: uint32(req.PC), Line: uint64(req.Line),
-			Arg: int64(len(c.mshr))})
+			Arg: int64(len(c.live))})
 	}
 	return out
-}
-
-// classify implements Section III.A's cold vs capacity+conflict split.
-func (c *Cache) classify(l arch.LineAddr) arch.MissClass {
-	if _, seen := c.everSeen[l]; seen {
-		return arch.MissCapacityConflict
-	}
-	return arch.MissCold
 }
 
 // noteDemand updates the hit-after-hit tracking state.
@@ -372,14 +380,27 @@ func (c *Cache) newEntry() *MSHREntry {
 	return &MSHREntry{}
 }
 
+// removeEntry swap-removes line l's entry, at slot, from live and the index.
+func (c *Cache) removeEntry(l arch.LineAddr, slot int32) {
+	last := len(c.live) - 1
+	if moved := c.live[last]; int(slot) != last {
+		c.live[slot] = moved
+		c.mshrIdx.put(moved.Line, slot)
+	}
+	c.live[last] = nil
+	c.live = c.live[:last]
+	c.mshrIdx.del(l)
+}
+
 // Fill delivers line l from the next level: the completed MSHR entry is
 // removed and returned, and the line is installed, evicting the LRU victim.
 func (c *Cache) Fill(l arch.LineAddr, cycle int64) FillOutcome {
 	c.recycleRetired()
 	var out FillOutcome
-	e := c.mshr[l]
-	if e != nil {
-		delete(c.mshr, l)
+	var e *MSHREntry
+	if slot, ok := c.mshrIdx.get(l); ok {
+		e = c.live[slot]
+		c.removeEntry(l, slot)
 		c.retired = append(c.retired, e)
 		out.Entry = e
 		out.PrefetchPC = e.PC
@@ -389,7 +410,7 @@ func (c *Cache) Fill(l arch.LineAddr, cycle int64) FillOutcome {
 		if c.tr != nil {
 			c.tr.Emit(trace.Event{Kind: trace.KindMSHRRetire, Unit: c.trUnit,
 				Warp: int32(e.Owner), PC: uint32(e.PC), Line: uint64(l),
-				Arg: int64(len(c.mshr))})
+				Arg: int64(len(c.live))})
 			if e.Prefetch {
 				var arg int64
 				if e.DemandMerged {
@@ -423,7 +444,7 @@ func (c *Cache) Fill(l arch.LineAddr, cycle int64) FillOutcome {
 		if victim.prefetched && !victim.used {
 			out.VictimUnusedPrefetch = true
 			out.VictimPrefetchPC = victim.pfPC
-			c.evictedUnusedPF[victim.tag] = struct{}{}
+			c.evictedUnusedPF.add(victim.tag)
 		}
 		if c.tr != nil {
 			var arg int64
@@ -460,18 +481,4 @@ func (c *Cache) Fill(l arch.LineAddr, cycle int64) FillOutcome {
 // UnresolvedEarlyEvictions returns the number of prefetched lines evicted
 // unused whose prediction was never proven by a later demand: these are the
 // useless prefetches counted at the end of a simulation.
-func (c *Cache) UnresolvedEarlyEvictions() int { return len(c.evictedUnusedPF) }
-
-// Reset clears all content, MSHRs and classification state.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = line{}
-	}
-	c.mshr = make(map[arch.LineAddr]*MSHREntry)
-	c.everSeen = make(map[arch.LineAddr]struct{})
-	c.evictedUnusedPF = make(map[arch.LineAddr]struct{})
-	c.retired = c.retired[:0]
-	c.free = c.free[:0]
-	c.hasLastDemand = false
-	c.lastDemandWasHit = false
-}
+func (c *Cache) UnresolvedEarlyEvictions() int { return c.evictedUnusedPF.n }

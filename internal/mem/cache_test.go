@@ -164,6 +164,18 @@ func TestEarlyEvictionDetection(t *testing.T) {
 	if c.UnresolvedEarlyEvictions() != 0 {
 		t.Fatal("proven early eviction should be removed from unresolved set")
 	}
+	// The proof counts once: line 1 is now demand-filled, so evicting and
+	// missing it again proves nothing.
+	c.Fill(1, 7)
+	for i, l := range []arch.LineAddr{2, 3, 1} {
+		if out := c.Access(load(l), int64(8+2*i)); out.Result != arch.ResultMiss || out.ProvesEarlyEviction {
+			t.Fatalf("line %d: got %+v, want a miss that proves nothing", l, out)
+		}
+		c.Fill(l, int64(9+2*i))
+	}
+	if c.UnresolvedEarlyEvictions() != 0 {
+		t.Fatal("unresolved early evictions reappeared")
+	}
 }
 
 func TestUnresolvedEarlyEvictionsAreUseless(t *testing.T) {
@@ -207,19 +219,6 @@ func TestL2CacheServicesPrefetchReads(t *testing.T) {
 	c.Fill(4, 1)
 	if out := c.Access(prefetch(4), 2); out.Result != arch.ResultHit {
 		t.Fatalf("L2 resident prefetch read: got %v, want hit", out.Result)
-	}
-}
-
-func TestResetClearsEverything(t *testing.T) {
-	c := NewCache("L1", 1024, 2, 4)
-	c.Access(load(1), 0)
-	c.Fill(1, 1)
-	c.Reset()
-	if c.Contains(1) || c.MSHRCount() != 0 {
-		t.Fatal("reset did not clear content")
-	}
-	if out := c.Access(load(1), 2); out.Class != arch.MissCold {
-		t.Fatal("reset did not clear classification history")
 	}
 }
 
@@ -281,6 +280,73 @@ func TestQuickColdOnlyOnFirstTouch(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: with many misses in flight and fills arriving in any order, the
+// MSHR file tracks exactly the in-flight lines: a miss allocates, a repeat
+// merges, a full file stalls, and each fill returns its own line's entry
+// with every waiter that merged into it.
+func TestQuickMSHRFileOutOfOrderFills(t *testing.T) {
+	const mshrs = 6
+	f := func(ops []uint8) bool {
+		c := NewCache("L1", 512, 2, mshrs)
+		waiters := map[arch.LineAddr]int{} // oracle: in-flight line -> waiters
+		for i, op := range ops {
+			l := arch.LineAddr(op % 16)
+			if op&0x80 != 0 && len(waiters) > 0 {
+				// Fill the in-flight line nearest above l (any order).
+				for d := arch.LineAddr(0); ; d++ {
+					fl := (l + d) % 16
+					n, ok := waiters[fl]
+					if !ok {
+						continue
+					}
+					fo := c.Fill(fl, int64(i))
+					if fo.Entry == nil || fo.Entry.Line != fl || len(fo.Entry.Waiters) != n {
+						return false
+					}
+					delete(waiters, fl)
+					break
+				}
+			} else {
+				out := c.Access(load(l), int64(i))
+				_, inFlight := waiters[l]
+				switch {
+				case inFlight:
+					if out.Result != arch.ResultMergedMSHR {
+						return false
+					}
+					waiters[l]++
+				case c.Contains(l):
+					if out.Result != arch.ResultHit {
+						return false
+					}
+				case len(waiters) == mshrs:
+					if out.Result != arch.ResultStall {
+						return false
+					}
+				default:
+					if out.Result != arch.ResultMiss {
+						return false
+					}
+					waiters[l] = 1
+				}
+			}
+			if c.MSHRCount() != len(waiters) {
+				return false
+			}
+			for x := arch.LineAddr(0); x < 16; x++ {
+				_, want := waiters[x]
+				if c.InFlight(x) != want || (len(c.MSHRWaiters(x)) > 0) != want {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -43,6 +43,9 @@ type LAWS struct {
 	wgtRR int // ring allocation pointer
 	nexID int
 
+	// members and rest are partition's scratch buffers.
+	members, rest []arch.WarpID
+
 	tr     *trace.Tracer
 	trUnit int32
 }
@@ -63,6 +66,8 @@ func NewLAWS(numWarps, wgtEntries int, tailDemotion bool) *LAWS {
 		numWarps:     numWarps,
 		tailDemotion: tailDemotion,
 		queue:        make([]arch.WarpID, numWarps),
+		members:      make([]arch.WarpID, 0, numWarps),
+		rest:         make([]arch.WarpID, 0, numWarps),
 		llt:          make([]arch.PC, numWarps),
 		wgt:          make([]wgtEntry, wgtEntries),
 	}
@@ -155,8 +160,7 @@ func (s *LAWS) moveToTail(mask arch.WarpMask) {
 }
 
 func (s *LAWS) partition(mask arch.WarpMask, membersFirst bool) {
-	members := make([]arch.WarpID, 0, len(s.queue))
-	rest := make([]arch.WarpID, 0, len(s.queue))
+	members, rest := s.members[:0], s.rest[:0]
 	for _, w := range s.queue {
 		if mask.Has(w) {
 			members = append(members, w)
@@ -164,14 +168,12 @@ func (s *LAWS) partition(mask arch.WarpMask, membersFirst bool) {
 			rest = append(rest, w)
 		}
 	}
-	s.queue = s.queue[:0]
-	if membersFirst {
-		s.queue = append(s.queue, members...)
-		s.queue = append(s.queue, rest...)
-	} else {
-		s.queue = append(s.queue, rest...)
-		s.queue = append(s.queue, members...)
+	s.members, s.rest = members, rest
+	if !membersFirst {
+		members, rest = rest, members
 	}
+	n := copy(s.queue, members)
+	copy(s.queue[n:], rest)
 }
 
 // OnWarpRelaunched implements Scheduler: clear the slot's load history.
